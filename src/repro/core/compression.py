@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ipu.codelets import Codelet, CostContext
+from repro.ipu.codelets import Codelet, CostContext, frozen
 
 __all__ = [
     "segment_bounds",
@@ -66,26 +66,6 @@ def compress_rows_host(
     return compress, zero_count
 
 
-def _compress_batch(
-    block: np.ndarray, compress: np.ndarray, zero_count: np.ndarray, tol: float
-) -> None:
-    """Vectorized compression of a ``(V, rows, cols)`` batch (in place)."""
-    batch, rows, cols = block.shape
-    threads = zero_count.shape[-1]
-    compress[...] = -1
-    for thread, (start, stop) in enumerate(segment_bounds(cols, threads)):
-        if start == stop:
-            zero_count[..., thread] = 0
-            continue
-        mask = block[..., start:stop] <= tol
-        cumulative = mask.cumsum(axis=-1)
-        zero_count[..., thread] = cumulative[..., -1]
-        batch_idx, row_idx, col_idx = np.nonzero(mask)
-        slots = cumulative[batch_idx, row_idx, col_idx] - 1
-        compress[batch_idx, row_idx, start + slots] = start + col_idx
-    # (zero_count written above; compress already -1 where unused.)
-
-
 class CompressRows(Codelet):
     """Device codelet: compress each local row into zero positions.
 
@@ -96,21 +76,49 @@ class CompressRows(Codelet):
 
     fields = {"block": "in", "compress": "out", "zero_count": "out"}
 
+    def derive(self, views, params, cost: CostContext) -> "_CompressConstants":
+        return _CompressConstants(views, params, cost)
+
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        cols = int(params["cols"][0])
-        threads = int(params["threads"][0])
-        tol = float(params["tol"][0])
-        block = views["block"]
-        batch = block.shape[0]
-        rows = block.shape[1] // cols
-        _compress_batch(
-            block.reshape(batch, rows, cols),
-            views["compress"].reshape(batch, rows, cols),
-            views["zero_count"].reshape(batch, rows, threads),
-            tol,
+        k = self.plan_constants(views, params, cost)
+        shape = (k.batch, k.rows, k.cols)
+        compress = views["compress"].reshape(shape)
+        zeros = views["block"].reshape(shape) <= k.tol
+        # prefix[..., c] = zeros in columns [0, c) of the row.
+        prefix = k.prefix
+        np.cumsum(zeros, axis=-1, out=prefix[..., 1:])
+        views["zero_count"].reshape(k.batch, k.rows, -1)[...] = (
+            prefix[..., k.segment_stops] - prefix[..., k.segment_starts]
         )
-        work = rows * cost.scan_cycles(cols)
-        return np.asarray(cost.segmented(work)) * np.ones(batch)
+        # Thread t front-packs its segment: a zero's slot is its rank among
+        # the segment's zeros.
+        compress[...] = -1
+        batch_idx, row_idx, col_idx = np.nonzero(zeros)
+        first = k.segment_start_of[col_idx]
+        slots = prefix[batch_idx, row_idx, col_idx] - prefix[batch_idx, row_idx, first]
+        compress[batch_idx, row_idx, first + slots] = col_idx
+        return k.cycles
+
+
+class _CompressConstants:
+    """What :class:`CompressRows` derives once per compute set."""
+
+    def __init__(self, views, params, cost: CostContext) -> None:
+        self.cols = int(params["cols"][0])
+        threads = int(params["threads"][0])
+        self.tol = float(params["tol"][0])
+        self.batch = views["block"].shape[0]
+        self.rows = views["block"].shape[1] // self.cols
+        bounds = segment_bounds(self.cols, threads)
+        self.segment_starts = frozen(np.array([start for start, _ in bounds]))
+        self.segment_stops = frozen(np.array([stop for _, stop in bounds]))
+        self.segment_start_of = frozen(
+            np.repeat(self.segment_starts, self.segment_stops - self.segment_starts)
+        )
+        #: Scratch zero-count prefix sums, column 0 fixed at zero.
+        self.prefix = np.zeros((self.batch, self.rows, self.cols + 1), dtype=np.int32)
+        work = self.rows * cost.scan_cycles(self.cols)
+        self.cycles = frozen(np.asarray(cost.segmented(work)) * np.ones(self.batch))
 
 
 def build_compress(graph, state, plan):

@@ -20,16 +20,50 @@ the engine charges from the static plan.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from repro.errors import GraphConstructionError
-from repro.ipu.codelets import Codelet, CostContext
+from repro.ipu.codelets import Codelet, CostContext, frozen
 
-__all__ = ["SENTINEL", "DynSliceSegment", "DynStore"]
+__all__ = ["SENTINEL", "Segments", "DynSliceSegment", "DynStore"]
 
 #: Written by non-owning segments during a dynamic slice.  Distinct from -1,
 #: which is a legitimate "no star / no prime" value in HunIPU's state.
 SENTINEL = -2
+
+
+class Segments:
+    """The partition-and-distribute range check over compile-time segments.
+
+    ``starts`` are the vertices' segment offsets and ``length`` their
+    common size.  :meth:`owners` answers "which vertex holds global index
+    *i*, at which local position" — what every segment vertex checks in
+    parallel on the device.  Sorted, disjoint segments (every HunIPU use)
+    are answered by one bisection instead of a vectorized compare.
+    """
+
+    def __init__(self, starts: np.ndarray, length: int) -> None:
+        self.starts = frozen(np.asarray(starts).astype(np.int64))
+        self.length = length
+        self._start_list = self.starts.tolist()
+        self._disjoint = all(
+            later - earlier >= length
+            for earlier, later in zip(self._start_list, self._start_list[1:])
+        )
+
+    def owners(self, index: int):
+        """``(owners, local)`` index pair for ``data[owners, local]``, or
+        ``None`` when no segment holds ``index``."""
+        if self._disjoint:
+            owner = bisect.bisect_right(self._start_list, index) - 1
+            if owner >= 0 and index - self._start_list[owner] < self.length:
+                return owner, index - self._start_list[owner]
+            return None
+        local = index - self.starts
+        owners = np.flatnonzero((local >= 0) & (local < self.length))
+        return (owners, local[owners]) if len(owners) else None
 
 
 class DynSliceSegment(Codelet):
@@ -47,21 +81,24 @@ class DynSliceSegment(Codelet):
     dynamic_access = True
     local_fields = ("data",)
 
+    def derive(self, views, params, cost: CostContext):
+        batch, length = views["data"].shape
+        return (
+            int(params["slot"][0]),
+            Segments(params["start"], length),
+            frozen(np.full(batch, 2.0 * cost.cycles_per_alu_op)),
+        )
+
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        data = views["data"]
-        batch, length = data.shape
-        slot = int(params["slot"][0])
-        starts = params["start"].astype(np.int64)
-        index = int(views["state"][0, slot])
-        local = index - starts
-        owns = (local >= 0) & (local < length)
+        slot, segments, cycles = self.plan_constants(views, params, cost)
         out = views["out"]
         out[:, 0] = SENTINEL
-        if owns.any():
-            owner_rows = np.flatnonzero(owns)
-            out[owner_rows, 0] = data[owner_rows, local[owner_rows]]
-        cycles = np.full(batch, 2.0 * cost.cycles_per_alu_op)
-        cycles[owns] += cost.cycles_per_dynamic_access
+        found = segments.owners(int(views["state"][0, slot]))
+        if found is not None:
+            owners, local = found
+            out[owners, 0] = views["data"][owners, local]
+            cycles = cycles.copy()
+            cycles[owners] += cost.cycles_per_dynamic_access
         return cycles
 
 
@@ -81,28 +118,31 @@ class DynStore(Codelet):
     dynamic_access = True
     local_fields = ("data",)
 
-    def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        data = views["data"]
-        batch, length = data.shape
-        sel = views["sel"][0]
-        index_slot = int(params["index_slot"][0])
+    def derive(self, views, params, cost: CostContext):
+        batch, length = views["data"].shape
         value_slot = int(params["value_slot"][0])
         if value_slot < 0 and "const_value" not in params:
             raise GraphConstructionError(
                 "DynStore with value_slot=-1 requires a const_value param"
             )
-        value = (
-            int(params["const_value"][0])
-            if value_slot < 0
-            else int(sel[value_slot])
+        return (
+            int(params["index_slot"][0]),
+            value_slot,
+            int(params["const_value"][0]) if value_slot < 0 else None,
+            Segments(params["start"], length),
+            frozen(np.full(batch, 2.0 * cost.cycles_per_alu_op)),
         )
-        index = int(sel[index_slot])
-        starts = params["start"].astype(np.int64)
-        local = index - starts
-        owns = (local >= 0) & (local < length)
-        if owns.any():
-            owner_rows = np.flatnonzero(owns)
-            data[owner_rows, local[owner_rows]] = value
-        cycles = np.full(batch, 2.0 * cost.cycles_per_alu_op)
-        cycles[owns] += cost.cycles_per_dynamic_access
+
+    def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
+        index_slot, value_slot, const_value, segments, cycles = (
+            self.plan_constants(views, params, cost)
+        )
+        sel = views["sel"]
+        value = const_value if value_slot < 0 else int(sel[0, value_slot])
+        found = segments.owners(int(sel[0, index_slot]))
+        if found is not None:
+            owners, local = found
+            views["data"][owners, local] = value
+            cycles = cycles.copy()
+            cycles[owners] += cost.cycles_per_dynamic_access
         return cycles

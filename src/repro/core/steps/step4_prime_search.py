@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.dynamic_ops import DynStore
+from repro.core.dynamic_ops import DynStore, Segments
 from repro.core.mapping_plan import MappingPlan
 from repro.core.state import SolverState
-from repro.ipu.codelets import Codelet, CostContext
+from repro.ipu.codelets import Codelet, CostContext, frozen
 from repro.ipu.graph import ComputeGraph
 from repro.ipu.mapping import TileMapping
 from repro.ipu.oplib import chip_slices
@@ -58,68 +58,120 @@ class ZeroStatusScan(Codelet):
         "partial": "out",
     }
 
+    def derive(self, views, params, cost: CostContext) -> "_ScanConstants":
+        return _ScanConstants(views, params, cost)
+
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
+        k = self.plan_constants(views, params, cost)
+        cells = k.cells
+        covers = views["col_cover"][0]  # identical broadcast row
+        # Touch only the segments' populated front slots — the compression
+        # payoff: work scales with the zero count, not with n.
+        slots = k.slots(views["zero_count"].reshape(-1, k.threads).max(axis=0))
+        if len(slots):
+            positions = views["compress"].reshape(cells, k.cols)[:, slots]
+            # Open columns, plus a closed sentinel that the -1 padding
+            # indexes: one gather finds the uncovered zeros.
+            np.equal(covers, 0, out=k.open_cols[:-1])
+            hit = k.open_cols[positions]
+            first = hit.argmax(axis=1)
+            has_zero = hit[k.cell_index, first]
+            found_col = positions[k.cell_index, first]
+            zeros_scanned = (positions >= 0).sum(axis=1)
+            if k.rows > 1:
+                zeros_scanned = zeros_scanned.reshape(k.batch, k.rows).sum(axis=1)
+        else:
+            has_zero = np.zeros(cells, dtype=bool)
+            found_col = k.no_col
+            zeros_scanned = k.no_zeros
+        has_zero &= views["row_cover"].reshape(cells) == 0
+        row_star = views["row_star"].reshape(cells)
+        # -1: no uncovered zero; 0: zero and a star; 1: zero, no star.
+        status = np.where(has_zero, row_star < 0, -1)
+        found_col = np.where(has_zero, found_col, -1)
+        views["zero_status"][...] = status.reshape(k.batch, k.rows)
+        views["zero_col"][...] = found_col.reshape(k.batch, k.rows)
+        # Fused per-tile arg-max (max status, lowest local row on ties).
+        if k.rows == 1:
+            best, row = k.cell_index, k.row0
+        else:
+            local = status.reshape(k.batch, k.rows).argmax(axis=1)
+            best, row = k.row_base + local, k.row0 + local
+        partial = views["partial"]
+        partial[:, 0] = status[best]
+        partial[:, 1] = row
+        partial[:, 2] = found_col[best]
+        partial[:, 3] = row_star[best]
+        if k.cycles is not None:
+            return k.cycles
+        return k.cycles_by_zeros[zeros_scanned]
+
+
+class _ScanConstants:
+    """What :class:`ZeroStatusScan` derives once per compute set."""
+
+    def __init__(self, views, params, cost: CostContext) -> None:
         from repro.core.compression import segment_bounds
 
-        cols = int(params["cols"][0])
-        threads = int(params["threads"][0])
-        compress = views["compress"]
-        batch = compress.shape[0]
-        rows = compress.shape[1] // cols
-        positions = compress.reshape(batch, rows, cols)
-        counts = views["zero_count"].reshape(batch, rows, threads)
-        covers = views["col_cover"][0]  # identical broadcast row
-        # Touch only each segment's populated front slots — the compression
-        # payoff: work scales with the zero count, not with n.
-        occupancy = counts.reshape(-1, threads).max(axis=0)
-        parts = [
-            positions[..., start : start + occ]
-            for (start, stop), occ in zip(segment_bounds(cols, threads), occupancy)
-            if stop > start and occ > 0
-        ]
-        if parts:
-            pos = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
-            flat = pos.reshape(batch * rows, -1)
-            valid = flat >= 0
-            open_col = np.take(covers, flat, mode="clip") == 0
-            hit = valid & open_col
-            has_zero = hit.any(axis=1)
-            first = hit.argmax(axis=1)
-            found_col = flat[np.arange(flat.shape[0]), first]
-            has_zero = has_zero.reshape(batch, rows)
-            found_col = found_col.reshape(batch, rows)
-            zeros_scanned = valid.sum(axis=1).reshape(batch, rows).sum(axis=1)
-        else:
-            has_zero = np.zeros((batch, rows), dtype=bool)
-            found_col = np.full((batch, rows), -1, dtype=np.int64)
-            zeros_scanned = np.zeros(batch, dtype=np.int64)
-        has_zero = has_zero & (views["row_cover"] == 0)
-        found_col = np.where(has_zero, found_col, -1)
-        starred = views["row_star"] >= 0
-        status = np.where(has_zero, np.where(starred, 0, 1), -1)
-        views["zero_status"][...] = status
-        views["zero_col"][...] = found_col
-        # Fused per-tile arg-max (max status, lowest local row on ties).
-        best = status.argmax(axis=1)
-        take = np.arange(batch)
-        partial = views["partial"]
-        partial[:, 0] = status[take, best]
-        partial[:, 1] = params["row0"].astype(np.int64) + best
-        partial[:, 2] = found_col[take, best]
-        partial[:, 3] = views["row_star"][take, best]
+        self.cols = int(params["cols"][0])
+        self.threads = int(params["threads"][0])
+        self.batch, width = views["compress"].shape
+        self.rows = width // self.cols
+        self.cells = self.batch * self.rows
+        self.cell_index = frozen(np.arange(self.cells))
+        self.row_base = frozen(np.arange(self.batch) * self.rows)
+        self.row0 = frozen(params["row0"].astype(np.int64))
+        self.no_col = frozen(np.full(self.cells, -1, dtype=np.int64))
+        self.no_zeros = frozen(np.zeros(self.batch, dtype=np.int64))
+        #: Scratch: which columns are uncovered, then a ``False`` sentinel.
+        self.open_cols = np.zeros(views["col_cover"].shape[1] + 1, dtype=bool)
+        self._bounds = segment_bounds(self.cols, self.threads)
+        self._slots: dict[bytes, np.ndarray] = {}
+        segment_cycles = np.asarray(cost.segmented(cost.scan_cycles(self.rows)))
         if params.get("full_scan") is not None and params["full_scan"][0]:
             # Compression ablation: charge what scanning the raw slack rows
             # would cost (the computation itself is unchanged).
-            work = rows * np.asarray(cost.scan_cycles(cols)) * np.ones(batch)
-        else:
-            work = (
-                zeros_scanned
-                * (cost.cycles_per_dynamic_access + cost.cycles_per_alu_op)
-                + rows * 2 * cost.cycles_per_alu_op
+            work = self.rows * np.asarray(cost.scan_cycles(self.cols)) * np.ones(
+                self.batch
             )
-        return np.ceil(work / cost.threads_per_tile) + np.asarray(
-            cost.segmented(cost.scan_cycles(rows))
-        )
+            self.cycles = frozen(np.ceil(work / cost.threads_per_tile) + segment_cycles)
+        else:
+            self.cycles = None
+            # Cycles as a function of the zeros a vertex scanned, tabulated
+            # with the same float operations the per-call formula used.
+            zeros = np.arange(self.rows * self.cols + 1)
+            work = (
+                zeros * (cost.cycles_per_dynamic_access + cost.cycles_per_alu_op)
+                + self.rows * 2 * cost.cycles_per_alu_op
+            )
+            self.cycles_by_zeros = frozen(
+                np.ceil(work / cost.threads_per_tile) + segment_cycles
+            )
+
+    def slots(self, occupancy: np.ndarray) -> np.ndarray:
+        """Columns of each segment's first ``occupancy[t]`` slots, in order.
+
+        Memoized by occupancy pattern (bounded: a run revisits few).
+        """
+        key = occupancy.tobytes()
+        slots = self._slots.get(key)
+        if slots is None:
+            if len(self._slots) >= _SLOT_MEMO_LIMIT:
+                self._slots.clear()
+            slots = self._slots[key] = frozen(
+                np.concatenate(
+                    [
+                        np.arange(start, start + occupied)
+                        for (start, _), occupied in zip(self._bounds, occupancy.tolist())
+                    ]
+                )
+            )
+        return slots
+
+
+#: Occupancy patterns one :class:`_ScanConstants` remembers before it
+#: starts over.
+_SLOT_MEMO_LIMIT = 4096
 
 
 class StatusArgmaxPartial(Codelet):
@@ -166,23 +218,33 @@ class StatusArgmaxFinal(Codelet):
         "prime_count": "inout",
     }
 
+    def derive(self, views, params, cost: CostContext):
+        batch, width = views["partials"].shape
+        tiles = width // 4
+        cycles = np.full(batch, float(np.asarray(cost.scan_cycles(tiles * 4))))
+        return tiles, frozen(cycles)
+
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        flat = views["partials"]
-        batch = flat.shape[0]
-        tiles = flat.shape[1] // 4
-        partials = flat.reshape(batch, tiles, 4)
-        # Lexicographic argmax: status descending, then row ascending.
-        size_bound = np.int64(partials[..., 1].max() + 2)
-        score = partials[..., 0].astype(np.int64) * (2 * size_bound) - partials[..., 1]
-        best = score.argmax(axis=1)
-        take = np.arange(batch)
-        views["sel"][...] = partials[take, best]
-        status = partials[take, best, 0]
-        views["max_status"][:, 0] = status
-        views["flag_update"][:, 0] = status == -1
-        views["flag_aug"][:, 0] = status == 1
-        views["prime_count"][:, 0] += status == 0
-        return np.full(batch, float(np.asarray(cost.scan_cycles(tiles * 4))))
+        tiles, cycles = self.plan_constants(views, params, cost)
+        partials = views["partials"].reshape(len(cycles), tiles, 4)
+        # Lexicographic argmax: status descending, then row ascending.  A
+        # status step outweighs any int32 row difference, so the int64
+        # score orders exactly like the (status, -row) pair.
+        score = partials[..., 0] * _STATUS_WEIGHT - partials[..., 1]
+        # One vertex in practice: scalar stores beat vector ops here.
+        for vertex, best in enumerate(score.argmax(axis=1).tolist()):
+            sel = partials[vertex, best]
+            views["sel"][vertex] = sel
+            status = int(sel[0])
+            views["max_status"][vertex, 0] = status
+            views["flag_update"][vertex, 0] = status == -1
+            views["flag_aug"][vertex, 0] = status == 1
+            views["prime_count"][vertex, 0] += status == 0
+        return cycles
+
+
+#: Weight of one status step in :class:`StatusArgmaxFinal`'s score.
+_STATUS_WEIGHT = np.int64(1) << 32
 
 
 class PrimeRowUpdate(Codelet):
@@ -190,19 +252,23 @@ class PrimeRowUpdate(Codelet):
 
     fields = {"sel": "in", "row_prime": "inout", "row_cover": "inout"}
 
+    def derive(self, views, params, cost: CostContext):
+        return (
+            Segments(params["start"], views["row_prime"].shape[1]),
+            frozen(np.full(len(params["start"]), 2.0 * cost.cycles_per_alu_op)),
+        )
+
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        sel = views["sel"][0]
-        row, col = int(sel[1]), int(sel[2])
-        starts = params["start"].astype(np.int64)
-        length = views["row_prime"].shape[1]
-        local = row - starts
-        owns = (local >= 0) & (local < length)
-        if owns.any():
-            owners = np.flatnonzero(owns)
-            views["row_prime"][owners, local[owners]] = col
-            views["row_cover"][owners, local[owners]] = 1
-        cycles = np.full(len(starts), 2.0 * cost.cycles_per_alu_op)
-        cycles[owns] += 2 * cost.cycles_per_dynamic_access
+        segments, cycles = self.plan_constants(views, params, cost)
+        sel = views["sel"]
+        row, col = int(sel[0, 1]), int(sel[0, 2])
+        found = segments.owners(row)
+        if found is not None:
+            owners, local = found
+            views["row_prime"][owners, local] = col
+            views["row_cover"][owners, local] = 1
+            cycles = cycles.copy()
+            cycles[owners] += 2 * cost.cycles_per_dynamic_access
         return cycles
 
 

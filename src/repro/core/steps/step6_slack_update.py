@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.mapping_plan import MappingPlan
 from repro.core.state import SolverState
-from repro.ipu.codelets import Codelet, CostContext
+from repro.ipu.codelets import Codelet, CostContext, frozen
 from repro.ipu.graph import ComputeGraph
 from repro.ipu.mapping import TileMapping
 from repro.ipu.oplib import AddToScalar, build_reduce
@@ -38,19 +38,24 @@ class UncoveredMinPartial(Codelet):
 
     fields = {"block": "in", "row_cover": "in", "col_cover": "in", "partial": "out"}
 
-    def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
+    def derive(self, views, params, cost: CostContext):
         cols = int(params["cols"][0])
-        block = views["block"]
-        batch = block.shape[0]
-        rows = block.shape[1] // cols
-        shaped = block.reshape(batch, rows, cols)
+        batch, width = views["block"].shape
+        rows = width // cols
+        # Cycles as a function of a vertex's uncovered rows, tabulated with
+        # the float operations of the per-call formula.
+        work = np.arange(rows + 1) * np.asarray(cost.scan_cycles(cols))
+        cycles = np.ceil(work / cost.threads_per_tile) + cost.cycles_per_alu_op
+        return (batch, rows, cols), frozen(cycles)
+
+    def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
+        shape, cycles_by_rows = self.plan_constants(views, params, cost)
         open_rows = views["row_cover"] == 0
-        open_cols = views["col_cover"][0][:cols] == 0
+        open_cols = views["col_cover"][0][: shape[2]] == 0
         mask = open_rows[:, :, None] & open_cols[None, None, :]
-        masked = np.where(mask, shaped, np.inf)
+        masked = np.where(mask, views["block"].reshape(shape), np.inf)
         views["partial"][:, 0] = masked.min(axis=(1, 2))
-        work = open_rows.sum(axis=1) * np.asarray(cost.scan_cycles(cols))
-        return np.ceil(work / cost.threads_per_tile) + cost.cycles_per_alu_op
+        return cycles_by_rows[open_rows.sum(axis=1)]
 
 
 class SlackUpdate(Codelet):
@@ -63,18 +68,22 @@ class SlackUpdate(Codelet):
 
     fields = {"block": "inout", "row_cover": "in", "col_cover": "in", "delta": "in"}
 
-    def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
+    def derive(self, views, params, cost: CostContext):
         cols = int(params["cols"][0])
-        block = views["block"]
-        batch = block.shape[0]
-        rows = block.shape[1] // cols
-        shaped = block.reshape(batch, rows, cols)
-        delta = views["delta"][0, 0]
-        row_sign = (views["row_cover"] != 0).astype(block.dtype)
-        col_sign = (views["col_cover"][0][:cols] != 0).astype(block.dtype)
-        shaped += delta * (row_sign[:, :, None] + col_sign[None, None, :] - 1.0)
+        batch, width = views["block"].shape
+        rows = width // cols
         work = rows * cols * (cost.cycles_per_load2 / 2 + 2 * cost.cycles_per_alu_op)
-        return np.full(batch, float(np.asarray(cost.segmented(work))))
+        cycles = np.full(batch, float(np.asarray(cost.segmented(work))))
+        return (batch, rows, cols), frozen(cycles)
+
+    def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
+        shape, cycles = self.plan_constants(views, params, cost)
+        shaped = views["block"].reshape(shape)
+        delta = views["delta"][0, 0]
+        row_sign = (views["row_cover"] != 0).astype(shaped.dtype)
+        col_sign = (views["col_cover"][0][: shape[2]] != 0).astype(shaped.dtype)
+        shaped += delta * (row_sign[:, :, None] + col_sign[None, None, :] - 1.0)
+        return cycles
 
 
 def build_step6(

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.errors import GraphConstructionError
 
-__all__ = ["CostContext", "Codelet", "FIELD_DIRECTIONS"]
+__all__ = ["CostContext", "Codelet", "ParamArrays", "FIELD_DIRECTIONS"]
 
 FIELD_DIRECTIONS = ("in", "out", "inout")
 
@@ -83,6 +83,27 @@ class CostContext:
         if length <= 1:
             return float(self.cycles_per_alu_op)
         return 2.0 * length * math.log2(length) * self.cycles_per_alu_op
+
+
+class ParamArrays(dict):
+    """One compute set's parameter arrays (name -> ``(num_vertices,)``).
+
+    The compiler builds one per batched plan and the engine passes that
+    same mapping to every execution, so it doubles as the plan's memo for
+    :meth:`Codelet.plan_constants`.
+    """
+
+    __slots__ = ("derived",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.derived = None
+
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    """Mark a shared per-plan constant read-only, so no caller can edit it."""
+    array.setflags(write=False)
+    return array
 
 
 class Codelet(abc.ABC):
@@ -151,6 +172,35 @@ class Codelet(abc.ABC):
         numpy.ndarray
             ``(num_vertices,)`` float array of modeled cycles per vertex.
         """
+
+    def derive(
+        self,
+        views: Mapping[str, np.ndarray],
+        params: Mapping[str, np.ndarray],
+        cost: CostContext,
+    ):
+        """Constants of one compute set: decoded parameters, index arrays,
+        constant cycle arrays.
+
+        Subclasses that override this may use only the parameters, the view
+        *shapes* and ``cost`` — never view contents — since the result is
+        reused for every execution of the compute set (see
+        :meth:`plan_constants`).  Shared arrays must be :func:`frozen`.
+        """
+        raise NotImplementedError
+
+    def plan_constants(self, views, params, cost: CostContext):
+        """:meth:`derive`, computed once per compiled plan.
+
+        A plan's :class:`ParamArrays` memoizes the result; any other
+        mapping (a per-vertex run, a direct call) derives afresh.
+        """
+        derived = getattr(params, "derived", None)
+        if derived is None:
+            derived = self.derive(views, params, cost)
+            if isinstance(params, ParamArrays):
+                params.derived = derived
+        return derived
 
     # Convenience used by several subclasses --------------------------------
 

@@ -16,7 +16,9 @@ It also builds an :class:`ExecutionPlan` per compute set.  When a compute
 set is *uniform* — a single codelet, equal-length regions per field — the
 plan exposes zero-copy ``(num_vertices, region)`` views (or a gather/scatter
 fallback), which is what lets the engine run 1472 vertices as one numpy
-call.
+call.  Each plan's exchange and sync are priced here, once, and the program
+tree is flattened into the step list the engine runs
+(:func:`flatten_program`).
 """
 
 from __future__ import annotations
@@ -32,13 +34,38 @@ from repro.errors import CompilationError, TileMemoryError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.check.checker import CheckConfig
     from repro.check.report import CheckReport
-from repro.ipu.codelets import Codelet, CostContext
+from repro.ipu.codelets import Codelet, CostContext, ParamArrays
 from repro.ipu.graph import ComputeGraph, ComputeSet, Connection, Vertex
-from repro.ipu.programs import Copy, Program
+from repro.ipu.profiler import StaticCharge
+from repro.ipu.programs import (
+    Copy,
+    Execute,
+    If,
+    Nop,
+    Program,
+    Repeat,
+    RepeatWhileTrue,
+    Sequence,
+)
 from repro.ipu.spec import IPUSpec
 from repro.ipu.tensor import Tensor
 
-__all__ = ["FieldPlan", "ExecutionPlan", "CompiledGraph", "compile_graph"]
+__all__ = [
+    "FieldPlan",
+    "ExecutionPlan",
+    "CopyPlan",
+    "CompiledGraph",
+    "compile_graph",
+    "flatten_program",
+    "EXECUTE",
+    "COPY",
+    "BRANCH",
+    "JUMP",
+    "LOOP_ENTER",
+    "LOOP_TEST",
+    "REPEAT_ENTER",
+    "REPEAT_TEST",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -143,8 +170,15 @@ class ExecutionPlan:
     #: Sorted chips this compute set runs vertices on (``tile // num_tiles``
     #: per used tile).  ``(0,)`` on any single-IPU device.
     ipus: tuple[int, ...] = (0,)
+    #: Compile-time-priced exchange and sync of one execution (set by
+    #: :func:`compile_graph`, which knows the spec).
+    charge: StaticCharge | None = None
     _slot_keys: np.ndarray | None = dataclasses.field(default=None, repr=False)
     _single_slot_per_key: bool = dataclasses.field(default=False, repr=False)
+    _views: dict[str, np.ndarray] | None = dataclasses.field(
+        default=None, repr=False
+    )
+    _views_epoch: int = dataclasses.field(default=-1, repr=False)
 
     def __post_init__(self) -> None:
         stride = int(self.worker_slots.max(initial=0)) + 1
@@ -162,6 +196,8 @@ class ExecutionPlan:
         #: :meth:`tile_cycle_totals` output (deep profiler attribution).
         self.tile_ids = tiles_in_use
         self.tiles_in_use = len(tiles_in_use)
+        #: Shape every codelet call must return its cycle array in.
+        self.cycles_shape = (len(self.compute_set.vertices),)
 
     @property
     def batched(self) -> bool:
@@ -171,19 +207,15 @@ class ExecutionPlan:
         """Gather all field views; second element tells whether any field
         needs a scatter-back after compute (i.e. was copied, not aliased).
 
-        When every field aliases tensor memory the whole dict is cached,
-        keyed on the participating tensors' buffer versions — rebinding any
-        tensor's buffer (:attr:`repro.ipu.tensor.Tensor.version`) drops the
-        cache so repeated executions never read a stale view.  Steady-state
-        runs (no rebinds) still cost no allocation.
+        When every field aliases tensor memory the whole dict is cached
+        under :attr:`Tensor.rebind_epoch <repro.ipu.tensor.Tensor>`:
+        rebinding any tensor's buffer drops the cache, so repeated
+        executions never read a stale view, and steady-state runs (no
+        rebinds) cost one integer compare and no allocation.
         """
-        versions = tuple(
-            field_plan.tensor.version
-            for field_plan in self.field_plans.values()
-        )
-        cached = getattr(self, "_cached_batch", None)
-        if cached is not None and getattr(self, "_cached_batch_versions", None) == versions:
-            return cached, False
+        epoch = Tensor.rebind_epoch
+        if self._views_epoch == epoch:
+            return self._views, False
         views = {
             field: field_plan.gather()
             for field, field_plan in self.field_plans.items()
@@ -193,20 +225,25 @@ class ExecutionPlan:
             for field_plan in self.field_plans.values()
         )
         if not needs_scatter:
-            self._cached_batch = views
-            self._cached_batch_versions = versions
+            self._views = views
+            self._views_epoch = epoch
         return views, needs_scatter
 
-    def tile_compute_cycles(self, vertex_cycles: np.ndarray, spec: IPUSpec) -> float:
+    def charged_cycles(self, cycles: np.ndarray, overhead: float) -> float:
         """BSP compute-phase cost: the busiest tile's busiest worker slot.
 
-        Vertices landing on the same tile are dealt round-robin to the
-        tile's worker threads; the tile finishes when its fullest slot
-        drains, and the superstep finishes when the slowest tile does (C3).
+        ``cycles`` are the codelet's per-vertex cycles, each vertex paying
+        ``overhead`` on top.  Vertices landing on the same tile are dealt
+        round-robin to the tile's worker threads; the tile finishes when
+        its fullest slot drains, and the superstep finishes when the
+        slowest tile does (C3).  With one vertex per slot the charge is a
+        plain maximum, and rounding is monotonic, so ``max(c) + overhead``
+        is exactly ``max(c + overhead)`` without the temporary.
         """
         if self._single_slot_per_key:
-            return float(vertex_cycles.max(initial=0.0))
-        slot_totals = np.bincount(self._slot_keys, weights=vertex_cycles)
+            peak = float(cycles.max()) + overhead
+            return peak if peak > 0.0 else 0.0
+        slot_totals = np.bincount(self._slot_keys, weights=cycles + overhead)
         return float(slot_totals.max(initial=0.0))
 
     def tile_cycle_totals(self, vertex_cycles: np.ndarray) -> np.ndarray:
@@ -238,6 +275,11 @@ class CompiledGraph:
     memory_per_tile: dict[int, int]
     #: Populated when compiled with ``check != "off"`` (C1–C4 findings).
     check_report: "CheckReport | None" = None
+    #: The program flattened into the superstep list the engine runs
+    #: (see :func:`flatten_program`).
+    steps: tuple[tuple, ...] = ()
+    #: Loop/repeat counter slots the step list uses.
+    counter_slots: int = 0
 
     @property
     def spec(self) -> IPUSpec:
@@ -280,12 +322,12 @@ def compile_graph(
     spec = graph.spec
     _check_tensors(graph)
     memory_per_tile = _check_memory(graph)
-    _check_copies(program)
     plans: dict[int, ExecutionPlan] = {}
     for compute_set in _reachable_compute_sets(graph, program):
         _check_vertices(graph, compute_set, spec)
         _check_write_overlaps(compute_set)
         plans[compute_set.cs_id] = _build_plan(compute_set, spec)
+    steps, counter_slots = flatten_program(program, plans, spec)
     cost = CostContext(threads_per_tile=spec.threads_per_tile)
     check_report = None
     if check != "off":
@@ -297,7 +339,14 @@ def compile_graph(
         if check == "strict":
             check_report.raise_if_failed()
     return CompiledGraph(
-        graph, program, plans, cost, memory_per_tile, check_report
+        graph,
+        program,
+        plans,
+        cost,
+        memory_per_tile,
+        check_report,
+        steps,
+        counter_slots,
     )
 
 
@@ -349,23 +398,6 @@ def _check_memory(graph: ComputeGraph) -> dict[int, int]:
                 f"the {budget}-byte SRAM budget (C2)"
             )
     return per_tile
-
-
-def _check_copies(program: Program) -> None:
-    stack: list[Program] = [program]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Copy):
-            node.source.require_mapping()
-            node.destination.require_mapping()
-        for attr in ("programs", "body", "then_body", "else_body"):
-            child = getattr(node, attr, None)
-            if child is None:
-                continue
-            if isinstance(child, Program):
-                stack.append(child)
-            else:
-                stack.extend(child)
 
 
 def _check_vertices(
@@ -420,6 +452,14 @@ def _build_plan(compute_set: ComputeSet, spec: IPUSpec) -> ExecutionPlan:
         plan.ipus = tuple(
             sorted({int(tile) // spec.num_tiles for tile in plan.tile_ids})
         )
+    plan.charge = StaticCharge.price(
+        spec,
+        compute_set.name,
+        plan.exchange_bytes,
+        plan.inter_ipu_bytes,
+        tile_ids=plan.tile_ids,
+        exchange_by_tensor=plan.exchange_by_tensor,
+    )
     return plan
 
 
@@ -466,12 +506,16 @@ def _build_plan_inner(compute_set: ComputeSet, spec: IPUSpec) -> ExecutionPlan:
     param_names: set[str] = set()
     for vertex in vertices:
         param_names.update(vertex.params)
-    param_arrays = {
-        name: np.array(
-            [vertex.params.get(name, 0) for vertex in vertices], dtype=np.float64
+    param_arrays = ParamArrays(
+        (
+            name,
+            np.array(
+                [vertex.params.get(name, 0) for vertex in vertices],
+                dtype=np.float64,
+            ),
         )
         for name in sorted(param_names)
-    }
+    )
     return ExecutionPlan(
         compute_set,
         codelet,
@@ -524,3 +568,111 @@ def _assign_worker_slots(vertex_tiles: np.ndarray, threads: int) -> np.ndarray:
         slots[index] = count % threads
         seen[int(tile)] = count + 1
     return slots
+
+
+# ----------------------------------------------------------------------
+# The superstep list
+# ----------------------------------------------------------------------
+
+#: Opcodes of the compiled step list.  Each step is a tuple led by its
+#: opcode; ``pc`` is an index into the list:
+#:
+#: * ``(EXECUTE, plan)`` — run one compute set as a superstep;
+#: * ``(COPY, copy_plan)`` — run one whole-tensor copy as a superstep;
+#: * ``(BRANCH, condition, else_pc)`` — fall through on a non-zero
+#:   condition (the ``then`` body), else jump to ``else_pc``;
+#: * ``(JUMP, pc)``;
+#: * ``(LOOP_ENTER, slot, condition)`` — zero a ``RepeatWhileTrue``'s
+#:   iteration counter;
+#: * ``(LOOP_TEST, slot, condition, exit_pc, max_iterations)`` — sample
+#:   the condition: zero leaves the loop, non-zero counts an iteration
+#:   (past ``max_iterations`` is an error) and falls into the body;
+#: * ``(REPEAT_ENTER, slot)`` / ``(REPEAT_TEST, slot, count, exit_pc)`` —
+#:   the same for a fixed-count ``Repeat``.
+#:
+#: Every loop body ends with a ``JUMP`` back to its test.
+EXECUTE, COPY, BRANCH, JUMP, LOOP_ENTER, LOOP_TEST, REPEAT_ENTER, REPEAT_TEST = range(8)
+
+
+@dataclasses.dataclass(frozen=True)
+class CopyPlan:
+    """A :class:`~repro.ipu.programs.Copy` with its exchange priced once."""
+
+    source: Tensor
+    destination: Tensor
+    charge: StaticCharge
+
+
+def flatten_program(
+    program: Program, plans: dict[int, ExecutionPlan], spec: IPUSpec
+) -> tuple[tuple[tuple, ...], int]:
+    """Compile a program tree into ``(steps, counter_slots)``.
+
+    Control flow becomes branches and jumps over one flat list, so running
+    a program is a single loop over step tuples with no tree walk and no
+    per-node type dispatch.  Each loop occurrence gets its own counter
+    slot; a program node that appears twice (e.g. the recompression run
+    after Step 1 and inside Step 6) is emitted twice.
+    """
+    steps: list[list] = []
+    slots = 0
+    tiles_per_ipu = spec.num_tiles if spec.num_ipus > 1 else None
+
+    def emit(node: Program) -> None:
+        nonlocal slots
+        if isinstance(node, Sequence):
+            for child in node.programs:
+                emit(child)
+        elif isinstance(node, Execute):
+            steps.append([EXECUTE, plans[node.compute_set.cs_id]])
+        elif isinstance(node, Copy):
+            total, inter = node.exchange_bytes_split(tiles_per_ipu)
+            charge = StaticCharge.price(
+                spec,
+                f"copy/{node.source.name}->{node.destination.name}",
+                total,
+                inter,
+                # Copy traffic lands in the destination tensor; attribute
+                # it there so per-tensor totals still sum to the bytes.
+                exchange_by_tensor={node.destination.name: total} if total else None,
+            )
+            steps.append([COPY, CopyPlan(node.source, node.destination, charge)])
+        elif isinstance(node, If):
+            branch = [BRANCH, node.condition, None]
+            steps.append(branch)
+            emit(node.then_body)
+            if node.else_body is None:
+                branch[2] = len(steps)
+            else:
+                jump = [JUMP, None]
+                steps.append(jump)
+                branch[2] = len(steps)
+                emit(node.else_body)
+                jump[1] = len(steps)
+        elif isinstance(node, RepeatWhileTrue):
+            slot, slots = slots, slots + 1
+            steps.append([LOOP_ENTER, slot, node.condition])
+            test = len(steps)
+            exit_step = [LOOP_TEST, slot, node.condition, None, node.max_iterations]
+            steps.append(exit_step)
+            emit(node.body)
+            steps.append([JUMP, test])
+            exit_step[3] = len(steps)
+        elif isinstance(node, Repeat):
+            if node.count == 0:
+                return
+            slot, slots = slots, slots + 1
+            steps.append([REPEAT_ENTER, slot])
+            test = len(steps)
+            exit_step = [REPEAT_TEST, slot, node.count, None]
+            steps.append(exit_step)
+            emit(node.body)
+            steps.append([JUMP, test])
+            exit_step[3] = len(steps)
+        elif isinstance(node, Nop):
+            pass
+        else:
+            raise CompilationError(f"unknown program node {type(node).__name__}")
+
+    emit(program)
+    return tuple(tuple(step) for step in steps), slots

@@ -1,11 +1,17 @@
 """The BSP execution engine.
 
-Interprets a compiled program tree.  Each :class:`Execute` node runs its
-compute set as one Bulk-Synchronous-Parallel superstep (§III-A): the
-**compute** phase runs every vertex (batched numpy when the plan allows,
-per-vertex otherwise) and costs as much as the slowest tile's busiest worker
-slot; the **sync** phase costs a fixed barrier; the **exchange** phase costs
-the compute set's statically planned byte volume over the fabric.
+Runs a compiled program.  :func:`~repro.ipu.compiler.compile_graph`
+flattens the program tree once into a *step list* — ``EXECUTE`` and
+``COPY`` supersteps joined by branches, jumps and loop counters — and
+:meth:`Engine.run` is a single loop over it: no tree walk, no per-node
+type dispatch.  Each ``EXECUTE`` runs its compute set as one
+Bulk-Synchronous-Parallel superstep (§III-A): the **compute** phase runs
+every vertex (batched numpy when the plan allows, per-vertex otherwise)
+and costs as much as the slowest tile's busiest worker slot; the **sync**
+phase costs a fixed barrier; the **exchange** phase costs the compute
+set's statically planned byte volume over the fabric.  Sync and exchange
+are priced at compile time (:class:`~repro.ipu.profiler.StaticCharge`),
+so a superstep only adds its measured compute cycles to them.
 
 Two execution modes exist:
 
@@ -15,7 +21,8 @@ Two execution modes exist:
 
 Both produce identical tensor contents and identical cycle charges; the
 equivalence is part of the test suite, which is what justifies trusting the
-fast path.
+fast path.  Tracing, per-superstep metrics and deep profiling are per-run
+flags on the same step loop, not separate paths.
 """
 
 from __future__ import annotations
@@ -26,22 +33,25 @@ from typing import Literal
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.ipu.compiler import CompiledGraph, ExecutionPlan, compile_graph
+from repro.ipu.compiler import (
+    BRANCH,
+    COPY,
+    EXECUTE,
+    JUMP,
+    LOOP_ENTER,
+    LOOP_TEST,
+    REPEAT_TEST,
+    CompiledGraph,
+    CopyPlan,
+    ExecutionPlan,
+    compile_graph,
+)
 from repro.ipu.graph import ComputeGraph
 from repro.ipu.profiler import ProfileReport, Profiler
 from repro.obs.metrics import IMBALANCE_RATIO_BUCKETS, MetricsRegistry
 from repro.obs.spans import child_span
 from repro.obs.trace import NULL_TRACER, NullTracer
-from repro.ipu.programs import (
-    Copy,
-    Execute,
-    If,
-    Nop,
-    Program,
-    Repeat,
-    RepeatWhileTrue,
-    Sequence,
-)
+from repro.ipu.programs import Program
 from repro.ipu.tensor import Tensor
 
 __all__ = ["Engine"]
@@ -132,7 +142,7 @@ class Engine:
         ``tracer`` (a :class:`repro.obs.trace.Tracer`) records per-superstep
         and control-flow events; ``metrics`` receives per-superstep
         histogram observations.  Both default to off, which costs one
-        attribute check per superstep.
+        flag check per superstep.
 
         ``profile_detail=False`` runs with aggregate-only profiling: the
         report keeps the run's total device time and byte volume but has no
@@ -174,7 +184,7 @@ class Engine:
         )
         try:
             with child_span("engine.run", mode=self.mode) as span:
-                self._run_program(self.compiled.program)
+                self._run_steps()
                 report = self._profiler.report()
                 span.set(
                     supersteps=report.supersteps,
@@ -192,86 +202,92 @@ class Engine:
             self._metrics = None
             self._running = False
 
-    def _run_program(self, program: Program) -> None:
-        if isinstance(program, Sequence):
-            for child in program.programs:
-                self._run_program(child)
-        elif isinstance(program, Execute):
-            self._run_compute_set(self.compiled.plan_for(program.compute_set))
-        elif isinstance(program, Repeat):
-            for _ in range(program.count):
-                self._run_program(program.body)
-        elif isinstance(program, RepeatWhileTrue):
-            tracing = self._tracer.enabled
-            if tracing:
-                self._tracer.loop_enter(program.condition.name)
-            iterations = 0
-            while self._scalar_truthy(program.condition):
-                iterations += 1
-                if iterations > program.max_iterations:
-                    raise ExecutionError(
-                        f"RepeatWhileTrue on {program.condition.name!r} "
-                        f"exceeded {program.max_iterations} iterations"
-                    )
+    def _run_steps(self) -> None:
+        """Run the compiled step list (see :func:`repro.ipu.compiler.flatten_program`)."""
+        steps = self.compiled.steps
+        counters = [0] * self.compiled.counter_slots
+        tracer = self._tracer
+        tracing = tracer.enabled
+        # Per-vertex cycles are only needed when something consumes them.
+        detail = tracing or self._metrics is not None or self._profiler.tiles
+        batched = self.mode == "batched"
+        end = len(steps)
+        pc = 0
+        while pc < end:
+            step = steps[pc]
+            op = step[0]
+            if op == EXECUTE:
+                self._run_compute_set(step[1], batched, detail)
+                pc += 1
+            elif op == BRANCH:
+                condition = step[1]
+                # ``item(0)`` reads the live buffer (rebind-safe).
+                if condition.data.item(0) != 0:
+                    if tracing:
+                        tracer.branch(condition.name, "then")
+                    pc += 1
+                else:
+                    if tracing:
+                        tracer.branch(condition.name, "else")
+                    pc = step[2]
+            elif op == JUMP:
+                pc = step[1]
+            elif op == LOOP_TEST:
+                _, slot, condition, exit_pc, max_iterations = step
+                if condition.data.item(0) != 0:
+                    iterations = counters[slot] = counters[slot] + 1
+                    if iterations > max_iterations:
+                        raise ExecutionError(
+                            f"RepeatWhileTrue on {condition.name!r} "
+                            f"exceeded {max_iterations} iterations"
+                        )
+                    if tracing:
+                        tracer.loop_iter(condition.name, iterations)
+                    pc += 1
+                else:
+                    if tracing:
+                        tracer.loop_exit(condition.name, counters[slot])
+                    pc = exit_pc
+            elif op == LOOP_ENTER:
+                counters[step[1]] = 0
                 if tracing:
-                    self._tracer.loop_iter(program.condition.name, iterations)
-                self._run_program(program.body)
-            if tracing:
-                self._tracer.loop_exit(program.condition.name, iterations)
-        elif isinstance(program, If):
-            if self._scalar_truthy(program.condition):
-                if self._tracer.enabled:
-                    self._tracer.branch(program.condition.name, "then")
-                self._run_program(program.then_body)
-            else:
-                if self._tracer.enabled:
-                    self._tracer.branch(program.condition.name, "else")
-                if program.else_body is not None:
-                    self._run_program(program.else_body)
-        elif isinstance(program, Copy):
-            self._run_copy(program)
-        elif isinstance(program, Nop):
-            pass
-        else:  # pragma: no cover - defensive
-            raise ExecutionError(f"unknown program node {type(program).__name__}")
+                    tracer.loop_enter(step[2].name)
+                pc += 1
+            elif op == COPY:
+                self._run_copy(step[1])
+                pc += 1
+            elif op == REPEAT_TEST:
+                _, slot, count, exit_pc = step
+                if counters[slot] < count:
+                    counters[slot] += 1
+                    pc += 1
+                else:
+                    pc = exit_pc
+            else:  # REPEAT_ENTER
+                counters[step[1]] = 0
+                pc += 1
 
-    @staticmethod
-    def _scalar_truthy(tensor: Tensor) -> bool:
-        return bool(tensor.flat()[0] != 0)
-
-    def _run_copy(self, copy: Copy) -> None:
+    def _run_copy(self, copy: CopyPlan) -> None:
         copy.destination.flat()[:] = copy.source.flat()
-        assert self._profiler is not None
-        spec = self.compiled.spec
-        tiles_per_ipu = spec.num_tiles if spec.num_ipus > 1 else None
-        total, inter = copy.exchange_bytes_split(tiles_per_ipu)
-        name = f"copy/{copy.source.name}->{copy.destination.name}"
-        charge = self._profiler.record_superstep(
-            name,
-            compute_cycles=0.0,
-            exchange_bytes=total,
-            inter_ipu_bytes=inter,
-            # Copy traffic lands in the destination tensor; attribute it
-            # there so per-tensor totals still sum to exchange_bytes.
-            exchange_by_tensor=(
-                {copy.destination.name: total}
-                if total and self._profiler.tiles
-                else None
-            ),
-        )
+        charge = copy.charge
+        superstep = self._profiler.record_superstep(charge, 0.0)
         if self._tracer.enabled:
-            extra = {"inter_ipu_bytes": inter} if spec.num_ipus > 1 else {}
+            extra = (
+                {"inter_ipu_bytes": charge.inter_ipu_bytes}
+                if self.compiled.spec.num_ipus > 1
+                else {}
+            )
             self._tracer.superstep(
-                name,
-                total_seconds=charge.total_seconds,
-                compute_seconds=charge.compute_seconds,
-                sync_seconds=charge.sync_seconds,
-                exchange_seconds=charge.exchange_seconds,
-                exchange_bytes=total,
+                charge.name,
+                total_seconds=superstep.total_seconds,
+                compute_seconds=superstep.compute_seconds,
+                sync_seconds=superstep.sync_seconds,
+                exchange_seconds=superstep.exchange_seconds,
+                exchange_bytes=charge.exchange_bytes,
                 **extra,
             )
         if self._metrics is not None:
-            self._observe_superstep_metrics(name, total)
+            self._observe_superstep_metrics(charge.name, charge.exchange_bytes)
 
     # ------------------------------------------------------------------
     # Compute sets
@@ -299,9 +315,14 @@ class Engine:
                 f"{compute_set_name!r}: {exc}"
             ) from exc
 
-    def _run_compute_set(self, plan: ExecutionPlan) -> None:
+    def _run_compute_set(
+        self, plan: ExecutionPlan, batched: bool, detail: bool
+    ) -> None:
+        """One superstep.  ``detail`` asks for per-vertex cycles (tracing,
+        metrics or deep profiling); the charged total is the same float
+        either way."""
         cost = self.compiled.cost_context
-        if plan.batched and self.mode == "batched":
+        if batched and plan.codelet is not None:
             views, needs_scatter = plan.batch_views()
             cycles = self._invoke_codelet(
                 plan.codelet,
@@ -310,37 +331,29 @@ class Engine:
                 cost,
                 plan.compute_set.name,
             )
-            if cycles.shape != (len(plan.compute_set.vertices),):
+            if cycles.shape != plan.cycles_shape:
                 raise ExecutionError(
                     f"codelet {plan.codelet.name} returned cycle array of "
-                    f"shape {cycles.shape}, expected "
-                    f"({len(plan.compute_set.vertices)},)"
+                    f"shape {cycles.shape}, expected {plan.cycles_shape}"
                 )
             if needs_scatter:
                 for field, field_plan in plan.field_plans.items():
                     field_plan.scatter(views[field])
         else:
             cycles = self._run_per_vertex(plan, cost)
-        cycles += cost.vertex_overhead_cycles
-        compute_cycles = plan.tile_compute_cycles(cycles, self.compiled.spec)
-        assert self._profiler is not None
-        if self._profiler.tiles:
-            charge = self._profiler.record_superstep(
-                plan.compute_set.name,
-                compute_cycles=compute_cycles,
-                exchange_bytes=plan.exchange_bytes,
-                inter_ipu_bytes=plan.inter_ipu_bytes,
-                tile_ids=plan.tile_ids,
-                tile_cycles=plan.tile_cycle_totals(cycles),
-                exchange_by_tensor=plan.exchange_by_tensor,
-            )
-        else:
-            charge = self._profiler.record_superstep(
-                plan.compute_set.name,
-                compute_cycles=compute_cycles,
-                exchange_bytes=plan.exchange_bytes,
-                inter_ipu_bytes=plan.inter_ipu_bytes,
-            )
+        compute_cycles = plan.charged_cycles(cycles, cost.vertex_overhead_cycles)
+        if not detail:
+            self._profiler.record_superstep(plan.charge, compute_cycles)
+            return
+        # Codelets may return shared constant arrays: never add in place.
+        cycles = cycles + cost.vertex_overhead_cycles
+        charge = self._profiler.record_superstep(
+            plan.charge,
+            compute_cycles,
+            tile_cycles=(
+                plan.tile_cycle_totals(cycles) if self._profiler.tiles else None
+            ),
+        )
         if self._tracer.enabled:
             peak, mean, imbalance = plan.tile_cycle_stats(cycles)
             # Multi-IPU attribution only on clusters, so single-chip trace

@@ -102,7 +102,7 @@ class Vertex:
         for connection in self.connections.values():
             mapping = connection.tensor.require_mapping()
             itemsize = connection.tensor.dtype.itemsize
-            for interval in mapping.intervals:
+            for interval in mapping.overlapping(connection.start, connection.stop):
                 overlap = min(interval.stop, connection.stop) - max(
                     interval.start, connection.start
                 )
@@ -129,7 +129,7 @@ class Vertex:
             mapping = connection.tensor.require_mapping()
             itemsize = connection.tensor.dtype.itemsize
             moved = 0
-            for interval in mapping.intervals:
+            for interval in mapping.overlapping(connection.start, connection.stop):
                 overlap = min(interval.stop, connection.stop) - max(
                     interval.start, connection.start
                 )

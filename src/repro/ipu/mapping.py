@@ -23,8 +23,10 @@ The constructors cover the strategies discussed in the paper:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
-from typing import Sequence
+import functools
+from typing import Iterator, Sequence
 
 from repro.errors import MappingError
 
@@ -82,6 +84,23 @@ class TileMapping:
                 "elements"
             )
         object.__setattr__(self, "intervals", intervals)
+
+    @functools.cached_property
+    def _starts(self) -> list[int]:
+        return [interval.start for interval in self.intervals]
+
+    def overlapping(self, start: int, stop: int) -> Iterator[Interval]:
+        """The intervals that intersect ``[start, stop)``, in order.
+
+        The cover is sorted and gap-free, so a bisection finds the first
+        one and the rest follow it: the cost scales with the overlaps, not
+        with the mapping's size.
+        """
+        first = max(bisect.bisect_right(self._starts, start) - 1, 0)
+        for interval in self.intervals[first:]:
+            if interval.start >= stop:
+                return
+            yield interval
 
     # ------------------------------------------------------------------
     # Constructors

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphConstructionError
-from repro.ipu.codelets import Codelet, CostContext
+from repro.ipu.codelets import Codelet, CostContext, frozen
 from repro.ipu.graph import ComputeGraph, Connection
 from repro.ipu.mapping import TileMapping
 from repro.ipu.programs import Execute, Program, Sequence
@@ -77,13 +77,16 @@ class VecReduce(Codelet):
     def name(self) -> str:
         return f"VecReduce[{self.op}]"
 
+    def derive(self, views, params, cost: CostContext) -> np.ndarray:
+        batch, length = views["data"].shape
+        return frozen(
+            np.asarray(cost.segmented(cost.scan_cycles(length))) * np.ones(batch)
+        )
+
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
         reduce_fn, _ = _REDUCE_OPS[self.op]
-        data = views["data"]
-        views["out"][:, 0] = reduce_fn(data, axis=1)
-        return np.asarray(cost.segmented(cost.scan_cycles(data.shape[1]))) * np.ones(
-            data.shape[0]
-        )
+        views["out"][:, 0] = reduce_fn(views["data"], axis=1)
+        return self.plan_constants(views, params, cost)
 
 
 class RowMin(Codelet):

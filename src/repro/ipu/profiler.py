@@ -20,6 +20,12 @@ All three depths accumulate the run totals through the *same* statements in
 the same order, so the headline numbers (``supersteps``,
 ``compute_cycles``, ``device_seconds``, byte volumes) are bit-identical
 across modes — the invariant the differential tests pin.
+
+Only the compute phase depends on the data.  A compute set's exchange
+bytes, chips and tiles are fixed by the compiler, so its exchange and sync
+seconds are priced once per plan as a :class:`StaticCharge`, from the same
+spec calls a per-superstep pricing would make; charging a superstep adds
+those constants and the measured compute cycles, nothing else.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from repro.ipu.spec import IPUSpec
 __all__ = [
     "StepRecord",
     "SuperstepCharge",
+    "StaticCharge",
     "Profiler",
     "ProfileReport",
     "TileProfile",
@@ -95,6 +102,59 @@ class SuperstepCharge(typing.NamedTuple):
     @property
     def total_seconds(self) -> float:
         return self.compute_seconds + self.sync_seconds + self.exchange_seconds
+
+
+@dataclasses.dataclass(frozen=True, eq=False, slots=True)
+class StaticCharge:
+    """The compile-time part of a superstep's charge.
+
+    A compute set's exchange volume, the chips it spans and its tiles are
+    fixed when the graph is compiled, so everything but the compute cycles
+    is priced once per :class:`~repro.ipu.compiler.ExecutionPlan` (or
+    copy) and the profiler only adds these constants per execution.  The
+    seconds come from the same spec calls, in the same order, as pricing
+    every superstep afresh, so they are the identical floats.
+    """
+
+    name: str
+    exchange_bytes: int
+    inter_ipu_bytes: int
+    exchange_seconds: float
+    #: On-chip barrier, plus the external one when bytes cross chips.
+    sync_seconds: float
+    #: True when the superstep moves cross-chip bytes (external sync).
+    inter_sync: bool
+    #: Sorted tiles the compute set runs on (deep attribution); ``None``
+    #: for copies, which carry no per-tile compute.
+    tile_ids: np.ndarray | None = None
+    #: Static exchange bytes per tensor (deep attribution).
+    exchange_by_tensor: typing.Mapping[str, int] | None = None
+
+    @classmethod
+    def price(
+        cls,
+        spec: IPUSpec,
+        name: str,
+        exchange_bytes: int,
+        inter_ipu_bytes: int = 0,
+        *,
+        tile_ids: np.ndarray | None = None,
+        exchange_by_tensor: typing.Mapping[str, int] | None = None,
+    ) -> "StaticCharge":
+        inter_sync = inter_ipu_bytes > 0
+        sync_seconds = spec.sync_seconds()
+        if inter_sync:
+            sync_seconds += spec.inter_ipu_sync_extra_seconds()
+        return cls(
+            name=name,
+            exchange_bytes=exchange_bytes,
+            inter_ipu_bytes=inter_ipu_bytes,
+            exchange_seconds=spec.exchange_seconds(exchange_bytes, inter_ipu_bytes),
+            sync_seconds=sync_seconds,
+            inter_sync=inter_sync,
+            tile_ids=tile_ids,
+            exchange_by_tensor=exchange_by_tensor,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -623,6 +683,7 @@ class Profiler:
         self, spec: IPUSpec, *, detailed: bool = True, tiles: bool = False
     ) -> None:
         self._spec = spec
+        self._clock_hz = spec.clock_hz
         self._detailed = detailed or tiles
         self._records: dict[str, StepRecord] = {}
         self._supersteps = 0
@@ -663,9 +724,9 @@ class Profiler:
 
     def record_superstep(
         self,
-        name: str,
+        step: "StaticCharge | str",
         compute_cycles: float,
-        exchange_bytes: int,
+        exchange_bytes: int = 0,
         inter_ipu_bytes: int = 0,
         *,
         tile_ids: np.ndarray | None = None,
@@ -674,60 +735,66 @@ class Profiler:
     ) -> SuperstepCharge | None:
         """Charge one BSP superstep: compute + sync + exchange.
 
-        ``inter_ipu_bytes`` is the subset of the exchange crossing chip
-        boundaries (charged at IPU-Link bandwidth).  A superstep that
-        moves any cross-chip bytes additionally pays the *external* sync
-        barrier (``spec.inter_ipu_sync_extra_seconds()``) on top of the
-        on-chip one — purely local supersteps sync each chip independently
-        at the normal cost.  In deep mode the
-        engine additionally passes the superstep's per-tile cycle totals
-        (``tile_ids``/``tile_cycles``) and the compute set's static
-        per-tensor exchange attribution.  Returns the charged phase
-        seconds so callers (the engine) can trace the superstep without
-        recomputing the cost model; aggregate-only profilers return
-        ``None`` (tracing forces a detailed profiler).
+        ``step`` is the superstep's :class:`StaticCharge`, priced once at
+        compile time (the engine's path); only ``compute_cycles`` (and, in
+        deep mode, the per-tile ``tile_cycles`` aligned with the charge's
+        ``tile_ids``) vary between executions.  A compute-set *name* is
+        also accepted, priced on the spot from ``exchange_bytes``,
+        ``inter_ipu_bytes``, ``tile_ids`` and ``exchange_by_tensor`` — the
+        form for driving a profiler by hand.
+
+        A superstep that moves cross-chip bytes pays the *external* sync
+        barrier on top of the on-chip one.  Returns the charged phase
+        seconds so callers can trace the superstep without recomputing the
+        cost model; aggregate-only profilers return ``None`` (tracing
+        forces a detailed profiler).
         """
-        exchange_seconds = self._spec.exchange_seconds(
-            exchange_bytes, inter_ipu_bytes
-        )
-        inter_sync = inter_ipu_bytes > 0
+        if isinstance(step, str):
+            step = StaticCharge.price(
+                self._spec,
+                step,
+                exchange_bytes,
+                inter_ipu_bytes,
+                tile_ids=tile_ids,
+                exchange_by_tensor=exchange_by_tensor,
+            )
         # Shared accumulation path: identical statements in identical
         # order for every profiling depth => bit-identical run totals.
         self._supersteps += 1
-        if inter_sync:
+        if step.inter_sync:
             self._inter_syncs += 1
         self._agg_compute_cycles += compute_cycles
-        self._agg_exchange_seconds += exchange_seconds
-        self._agg_exchange_bytes += exchange_bytes
-        self._agg_inter_ipu_bytes += inter_ipu_bytes
+        self._agg_exchange_seconds += step.exchange_seconds
+        self._agg_exchange_bytes += step.exchange_bytes
+        self._agg_inter_ipu_bytes += step.inter_ipu_bytes
         if not self._detailed:
             return None
-        sync_seconds = self._spec.sync_seconds()
-        if inter_sync:
-            sync_seconds += self._spec.inter_ipu_sync_extra_seconds()
         charge = SuperstepCharge(
-            compute_seconds=self._spec.cycles_to_seconds(compute_cycles),
-            sync_seconds=sync_seconds,
-            exchange_seconds=exchange_seconds,
+            # IPUSpec.cycles_to_seconds, inlined.
+            float(compute_cycles) / self._clock_hz,
+            step.sync_seconds,
+            step.exchange_seconds,
         )
-        record = self._records.setdefault(name, StepRecord(name))
+        record = self._records.get(step.name)
+        if record is None:
+            record = self._records[step.name] = StepRecord(step.name)
         record.executions += 1
         record.compute_seconds += charge.compute_seconds
         record.sync_seconds += charge.sync_seconds
         record.exchange_seconds += charge.exchange_seconds
-        record.exchange_bytes += exchange_bytes
-        record.inter_ipu_bytes += inter_ipu_bytes
-        record.inter_ipu_syncs += int(inter_sync)
+        record.exchange_bytes += step.exchange_bytes
+        record.inter_ipu_bytes += step.inter_ipu_bytes
+        record.inter_ipu_syncs += step.inter_sync
         record.compute_cycles += compute_cycles
         if self._tiles is not None:
             self._tiles.record(
-                name,
+                step.name,
                 charge,
                 compute_cycles,
-                exchange_bytes,
-                tile_ids,
+                step.exchange_bytes,
+                step.tile_ids,
                 tile_cycles,
-                exchange_by_tensor,
+                step.exchange_by_tensor,
             )
         return charge
 

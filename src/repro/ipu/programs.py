@@ -7,8 +7,9 @@ time").  Data-dependent iteration is expressed with
 :class:`RepeatWhileTrue`, whose condition is a one-element tensor written by
 the body's own compute sets, so control never leaves the device.
 
-The engine interprets the program tree; each :class:`Execute` is one BSP
-superstep (compute + sync + exchange).
+The compiler flattens the program tree into a step list that the engine
+runs; each :class:`Execute` is one BSP superstep (compute + sync +
+exchange).
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ unmapped tensors.  Supported dtypes mirror what the paper's kernels need:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from repro.ipu.mapping import TileMapping
 __all__ = ["Tensor", "SUPPORTED_DTYPES"]
 
 SUPPORTED_DTYPES = (np.float32, np.float64, np.int32, np.int64, np.int8)
+
+_REBINDS = itertools.count(1)
 
 
 @dataclasses.dataclass(eq=False)
@@ -50,11 +53,19 @@ class Tensor:
     #: serving layer swapping in a staging buffer — invalidates stale views
     #: instead of silently reading the orphaned old buffer.
     version: int = dataclasses.field(default=0, init=False, repr=False)
+    #: Process-wide rebind counter: takes a fresh value after **any**
+    #: tensor's buffer is rebound.  Execution plans cache their whole batch
+    #: of views under it, so one integer compare per superstep proves every
+    #: cached view still aliases a live buffer.
+    rebind_epoch: ClassVar[int] = 0
 
     def __setattr__(self, attr: str, value) -> None:
-        if attr == "data" and "data" in self.__dict__:
+        rebind = attr == "data" and "data" in self.__dict__
+        if rebind:
             object.__setattr__(self, "version", self.version + 1)
         object.__setattr__(self, attr, value)
+        if rebind:
+            Tensor.rebind_epoch = next(_REBINDS)
 
     def __post_init__(self) -> None:
         if not self.name:

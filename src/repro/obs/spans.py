@@ -154,6 +154,7 @@ class NullSpanTracer:
         correlation_id: str | None = None,
         parent: Span | None = None,
         root: bool = False,
+        start_s: float | None = None,
         **attributes: Any,
     ):
         return _NULL_SPAN
@@ -210,6 +211,7 @@ class SpanCollector(NullSpanTracer):
         correlation_id: str | None = None,
         parent: Span | None = None,
         root: bool = False,
+        start_s: float | None = None,
         **attributes: Any,
     ) -> Span:
         """Open a span.  Parent/correlation default to the ambient span.
@@ -217,6 +219,8 @@ class SpanCollector(NullSpanTracer):
         ``root=True`` forces a detached span even when an ambient span is
         active (the serving layer's per-request roots must never attach to
         whatever the submitting thread happens to be tracing).
+        ``start_s`` (a stamp of this collector's clock) opens the span at
+        an earlier instant, so back-to-back phases share one boundary.
         """
         if parent is None and not root:
             active = _ACTIVE.get()
@@ -237,7 +241,7 @@ class SpanCollector(NullSpanTracer):
             span_id=span_id,
             correlation_id=correlation_id,
             parent_id=None if parent is None else parent.span_id,
-            start_s=self._clock(),
+            start_s=self._clock() if start_s is None else start_s,
             attributes=dict(attributes),
         )
 

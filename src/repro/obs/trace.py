@@ -3,8 +3,8 @@
 The paper's evaluation is a *cost story*: per-step BSP phase accounting
 (compute / sync / exchange, §III-A) and per-iteration behaviour of the
 Munkres control loop.  A :class:`Tracer` captures that story as a flat
-stream of :class:`TraceEvent` records while the engine interprets the
-program tree:
+stream of :class:`TraceEvent` records while the engine runs the program's
+compiled step list:
 
 * ``superstep`` — one BSP superstep (compute set or copy): the charged
   phase seconds, exchange bytes, and the per-tile compute-cycle imbalance

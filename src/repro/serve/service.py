@@ -312,11 +312,14 @@ class SolverService:
                 self._in_flight += 1
             # The queue span must exist before the append: the moment a
             # worker can see the ticket it may dequeue it and end the span.
+            # It starts with the root, so the wait for this lock counts as
+            # queueing rather than as time no span explains.
             if self.spans.enabled:
                 ticket.spans.queue = self.spans.start(
                     "queue",
                     correlation_id=correlation_id,
                     parent=ticket.spans.root,
+                    start_s=ticket.spans.root.start_s,
                     depth=len(self._queue),
                 )
             self._queue.append(ticket)
@@ -495,6 +498,8 @@ class SolverService:
                 "execute",
                 correlation_id=ticket.request.correlation_id,
                 parent=spans.root,
+                # Execution begins where queueing ended: no gap between.
+                start_s=None if spans.queue is None else spans.queue.end_s,
             )
 
     def _execute_scope(self, ticket: Ticket):

@@ -145,3 +145,30 @@ class TestDynStore:
             COST,
         )
         assert data.sum() == 0
+
+
+class TestSegments:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        starts=st.lists(st.integers(-4, 40), min_size=1, max_size=8),
+        length=st.integers(1, 8),
+        index=st.integers(-6, 50),
+    )
+    def test_owners_match_the_range_check(self, starts, length, index):
+        """Bisection (sorted, disjoint segments) and the vectorized check
+        (anything else) both find exactly the vertices whose segment holds
+        ``index``, at the right local offset."""
+        from repro.core.dynamic_ops import Segments
+
+        expected = [
+            (vertex, index - start)
+            for vertex, start in enumerate(starts)
+            if 0 <= index - start < length
+        ]
+        found = Segments(np.array(starts, dtype=np.float64), length).owners(index)
+        if found is None:
+            assert expected == []
+        else:
+            owners, local = found
+            assert list(zip(np.atleast_1d(owners).tolist(),
+                            np.atleast_1d(local).tolist())) == expected

@@ -125,17 +125,17 @@ class TestReentrancy:
         graph, counter, _, inc, _ = _counter_graph(toy_spec)
         engine = Engine(graph, Repeat(3, Execute(inc)))
         seen = []
-        original = engine._run_program
+        original = engine._run_compute_set
 
-        def reenter(program):
-            # _run_program recurses through control flow; re-enter once.
+        def reenter(*args):
+            # Re-enter once, from inside the first superstep.
             if not seen:
                 seen.append(True)
                 with pytest.raises(ExecutionError, match="not reentrant"):
                     engine.run()
-            return original(program)
+            return original(*args)
 
-        engine._run_program = reenter
+        engine._run_compute_set = reenter
         report = engine.run()  # the outer run must be unharmed
         assert seen == [True]
         assert counter.read_host()[0] == 3

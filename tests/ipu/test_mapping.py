@@ -163,3 +163,22 @@ class TestQueries:
                 iv for iv in mapping.intervals if iv.start <= index < iv.stop
             )
             assert owner == interval.tile
+
+
+class TestOverlapping:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.integers(1, 80),
+        segment=st.integers(1, 16),
+        bounds=st.data(),
+    )
+    def test_matches_a_full_scan(self, size, segment, bounds):
+        mapping = TileMapping.linear_segments(size, segment, range(5))
+        start = bounds.draw(st.integers(0, size - 1))
+        stop = bounds.draw(st.integers(start + 1, size))
+        expected = [
+            interval
+            for interval in mapping.intervals
+            if interval.start < stop and interval.stop > start
+        ]
+        assert list(mapping.overlapping(start, stop)) == expected

@@ -8,6 +8,9 @@ carries the ``req-`` correlation id and whose direct children account for
 paths alike.
 """
 
+import threading
+import time
+
 from repro.data.synthetic import gaussian_instance
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_SPANS, SpanCollector
@@ -62,6 +65,45 @@ class TestLoadGenSpanTrees:
                 assert execute.attributes["batched"] == response.batched
         # Every span of the run is finished — nothing leaks open.
         assert all(span.finished for span in spans.finished())
+
+    def test_admission_wait_counts_as_queueing(self):
+        """Regression: time spent waiting for the admission lock after the
+        root span opened was covered by no child span, so a contended
+        submit could fail the 95% coverage bar."""
+        spans = SpanCollector()
+        service = _service(spans, workers=1)
+        held = threading.Event()
+        open_root = service._open_root_span
+
+        def open_root_then_contend(ticket):
+            open_root(ticket)
+
+            def hold_admission_lock():
+                with service._cond:
+                    held.set()
+                    time.sleep(0.05)
+
+            threading.Thread(target=hold_admission_lock).start()
+            assert held.wait(5.0)
+
+        service._open_root_span = open_root_then_contend
+        try:
+            service.pool.warm([8])
+            response = service.solve(
+                gaussian_instance(8, 10, seed=1), tier="ipu", timeout=60.0
+            )
+        finally:
+            service.close()
+        assert response.ok
+        by_name = {
+            span.name: span
+            for span in spans.by_correlation(response.correlation_id)
+        }
+        root, queue = by_name["request"], by_name["queue"]
+        assert queue.start_s == root.start_s
+        assert queue.duration_s >= 0.04  # the lock wait is queueing
+        assert by_name["execute"].start_s == queue.end_s
+        assert spans.coverage(response.correlation_id) >= 0.95
 
     def test_engine_requests_link_to_engine_run_spans(self):
         spans = SpanCollector()
